@@ -10,6 +10,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,6 +112,30 @@ func TestChaosBothBackendsDownIsUnavailable(t *testing.T) {
 	_, err := e.Search(anyUser(), scopedQuery())
 	if !IsUnavailable(err) {
 		t.Fatalf("err = %v, want backend-unavailable", err)
+	}
+}
+
+// TestChaosOutageErrorNamesStageOnce: a stage with no tier left to serve
+// fails with one BackendError naming the stage, "backend unavailable" said
+// once.
+func TestChaosOutageErrorNamesStageOnce(t *testing.T) {
+	for _, tc := range []struct {
+		site, backend string
+		q             FormQuery
+	}{
+		{fault.SiteSynopsisSearch, BackendSynopsis, FormQuery{Tower: "Storage Management Services"}},
+		{fault.SiteSIAPISearch, BackendSIAPI, FormQuery{AllWords: []string{"replication"}}},
+	} {
+		inj := fault.New(7)
+		inj.Add(&fault.Rule{Site: tc.site, Mode: fault.ModeError})
+		_, err := chaosEngine(t, inj, Resilience{}).Search(anyUser(), tc.q)
+		var be *BackendError
+		if !errors.As(err, &be) || be.Backend != tc.backend {
+			t.Fatalf("%s down: err = %v, want BackendError{%s}", tc.site, err, tc.backend)
+		}
+		if c := strings.Count(err.Error(), "backend unavailable"); c != 1 {
+			t.Errorf("%s down: %q says \"backend unavailable\" %d times, want once", tc.site, err, c)
+		}
 	}
 }
 

@@ -158,23 +158,21 @@ type Engine struct {
 	// the first swap.
 	docs atomic.Pointer[siapi.Engine]
 
-	// Shards, when non-empty, turns this engine into a scatter-gather
+	// Shards, when non-empty, makes this engine a scatter-gather
 	// coordinator over N self-contained shards: Synopses and Docs are
-	// ignored and every search fans out per shard (see shard.go). The
+	// ignored. Without Shards the engine searches Synopses and Docs as one
+	// unnamed shard; both cases run the same search (see shard.go). The
 	// slice must not change after the first search.
 	Shards []ShardBackend
 
-	// synMemo lazily memoizes synopsis query results keyed on the store's
-	// generation counter (see memo.go).
-	synOnce sync.Once
-	synMemo *lru.Cache[string, []synopsis.Hit]
 	// statsOnce/statsMemo memoize merged cluster scoring stats per
-	// compiled query + cluster epoch (sharded search only; see shard.go).
+	// compiled query + cluster epoch (coordinators only; see shard.go).
 	statsOnce sync.Once
 	statsMemo *lru.Cache[string, *index.Stats]
-	// synShardMemos holds one synopsis memo per shard: each shard's store
-	// has its own generation counter, and an lru.Cache tracks exactly one
-	// epoch, so shards cannot share a cache without cross-flushing.
+	// synShardMemos holds one synopsis memo per shard, keyed on the
+	// store's generation counter (see memo.go): each shard's store has its
+	// own counter, and an lru.Cache tracks exactly one epoch, so shards
+	// cannot share a cache without cross-flushing.
 	synShardOnce  sync.Once
 	synShardMemos []*lru.Cache[string, []synopsis.Hit]
 	// breakers holds the lazily built per-key circuit breakers; brMu
@@ -279,217 +277,6 @@ func (e *Engine) SearchCtx(ctx context.Context, user access.User, q FormQuery) (
 	return res, nil
 }
 
-func (e *Engine) search(ctx context.Context, user access.User, q FormQuery) (Result, error) {
-	if len(e.Shards) > 0 {
-		return e.searchSharded(ctx, user, q)
-	}
-	var res Result
-	// Resilience envelope: the search budget becomes a context deadline
-	// that every backend attempt slices (see resilience.go), and an
-	// engine-configured fault injector (chaos benching) rides the context
-	// to the instrumented call sites.
-	if r := e.resilience(); r.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.Budget)
-		defer cancel()
-	}
-	if e.Faults != nil {
-		ctx = fault.With(ctx, e.Faults)
-	}
-	// degrade records one backend outage survived by serving a reduced
-	// answer: result flags, per-cause counter, and root-span attributes
-	// (so ?explain=1 shows what was lost and why).
-	degrade := func(cause string, err error) {
-		res.Degraded = true
-		res.DegradedCauses = append(res.DegradedCauses, cause)
-		e.Metrics.Counter("search_degraded_total", "cause", cause).Inc()
-		root := trace.FromContext(ctx)
-		root.SetBool("degraded", true)
-		root.Set("degraded_"+cause, err.Error())
-	}
-
-	// Step 1-2: compose the synopsis query from form input.
-	compose := obs.StartTimer()
-	_, csp := trace.StartSpan(ctx, "search.compose")
-	sq, explain := e.composeSynopsisQuery(q)
-	res.Explain = append(res.Explain, explain...)
-	if q.Tower != "" && e.Tax != nil {
-		if _, _, ok := e.Tax.Resolve(q.Tower); !ok {
-			for _, s := range e.Tax.Suggest(q.Tower, 3) {
-				res.Suggestions = append(res.Suggestions, s.Surface)
-			}
-		}
-	}
-	// Step 3: compose the SIAPI query.
-	dq := e.composeSIAPIQuery(q)
-	if !dq.Empty() {
-		res.Explain = append(res.Explain, fmt.Sprintf("SIAPI query on fields %v", dq.Fields))
-	}
-	if csp != nil {
-		csp.SetBool("has_concepts", !sq.Empty())
-		csp.SetBool("has_text", !dq.Empty())
-		csp.SetInt("suggestions", len(res.Suggestions))
-		csp.End()
-	}
-	e.observeStage(ctx, StageCompose, compose.Elapsed())
-
-	// Step 4: execute the synopsis query, behind the resilience wrapper:
-	// breaker admission, budget-sliced attempt deadlines, bounded retry.
-	var synHits []synopsis.Hit
-	synDown := false
-	if !sq.Empty() {
-		t := obs.StartTimer()
-		sctx, sp := trace.StartSpan(ctx, "search.synopsis")
-		type synOut struct {
-			hits   []synopsis.Hit
-			cached bool
-		}
-		out, err := resilientCall(sctx, e, BackendSynopsis, func(c context.Context) (synOut, error) {
-			hits, cached, err := e.synopsisSearch(c, sq)
-			return synOut{hits, cached}, err
-		})
-		if sp != nil {
-			sp.SetBool("cache_hit", out.cached)
-			sp.SetInt("hits", len(out.hits))
-			if err != nil {
-				sp.Set("error", err.Error())
-			}
-			sp.End()
-		}
-		e.observeStage(ctx, StageSynopsis, t.Elapsed())
-		switch {
-		case err == nil:
-			synHits = out.hits
-			res.Explain = append(res.Explain, fmt.Sprintf("synopsis query matched %d activities", len(synHits)))
-		case dq.Empty():
-			// Concept-only query with the synopsis store down: there is no
-			// text to fall back to, so the outage surfaces as unavailable.
-			return res, err
-		default:
-			// Harvest degradation (Fox & Brewer): drop the business-context
-			// half, keep answering from the full-text index unscoped.
-			synDown = true
-			degrade(BackendSynopsis, err)
-			res.Explain = append(res.Explain, "synopsis backend unavailable; degraded to unscoped full-text")
-		}
-	}
-
-	synByDeal := map[string]synopsis.Hit{}
-	maxSyn := 0.0
-	for _, h := range synHits {
-		synByDeal[h.DealID] = h
-		if h.Score > maxSyn {
-			maxSyn = h.Score
-		}
-	}
-
-	acts := map[string]*combinedAct{}
-
-	addSyn := func(h synopsis.Hit) {
-		c := acts[h.DealID]
-		if c == nil {
-			c = &combinedAct{}
-			acts[h.DealID] = c
-		}
-		if maxSyn > 0 {
-			c.syn = h.Score / maxSyn
-		}
-		c.tws = h.MatchedTowers
-	}
-
-	// siapiStage runs one SIAPI activity search under a traced child span,
-	// behind the resilience wrapper.
-	siapiStage := func(scoped bool) ([]siapi.ActivityHit, error) {
-		perDeal := q.DocsPerDeal
-		if perDeal <= 0 {
-			perDeal = 5
-		}
-		t := obs.StartTimer()
-		sctx, sp := trace.StartSpan(ctx, "search.siapi")
-		docActs, err := resilientCall(sctx, e, BackendSIAPI, func(c context.Context) ([]siapi.ActivityHit, error) {
-			return e.backend().TrySearchActivitiesCtx(c, dq, perDeal)
-		})
-		if sp != nil {
-			sp.SetBool("scoped", scoped)
-			sp.SetInt("scope_deals", len(dq.Deals))
-			sp.SetInt("activities", len(docActs))
-			if err != nil {
-				sp.Set("error", err.Error())
-			}
-			sp.End()
-		}
-		e.observeStage(ctx, StageSIAPI, t.Elapsed())
-		return docActs, err
-	}
-
-	switch {
-	case len(synHits) > 0: // steps 5-11
-		if !dq.Empty() {
-			// Step 8: scope the document search to the activities in S.
-			if !e.DisableScoping {
-				for _, h := range synHits {
-					dq.Deals = append(dq.Deals, h.DealID)
-				}
-			}
-			docActs, err := siapiStage(!e.DisableScoping)
-			if err != nil {
-				// Index down with the synopsis side healthy: serve the
-				// synopsis-plus-contacts tier (R <- S, no documents) —
-				// the same reduced answer the paper's access control gives
-				// unauthorized users, here caused by an outage.
-				degrade(BackendSIAPI, err)
-				res.Explain = append(res.Explain, "document index unavailable; degraded to synopsis-plus-contacts")
-				for _, h := range synHits {
-					addSyn(h)
-				}
-				break
-			}
-			for _, da := range docActs {
-				sh, inS := synByDeal[da.DealID]
-				if !inS {
-					continue // unscoped ablation: intersect to keep semantics
-				}
-				addSyn(sh)
-				acts[da.DealID].doc = da.Score
-				acts[da.DealID].dcs = da.Docs
-			}
-			res.Explain = append(res.Explain, fmt.Sprintf("scoped SIAPI query over %d activities", len(synHits)))
-		} else {
-			// Step 11: R <- S.
-			for _, h := range synHits {
-				addSyn(h)
-			}
-		}
-	case !dq.Empty(): // steps 13-15: unscoped SIAPI fallback
-		if !sq.Empty() && !synDown {
-			// The synopsis query ran and matched nothing: the concept
-			// criteria are hard filters, so the conjunction is empty.
-			res.Explain = append(res.Explain, "concept criteria matched no activities")
-			break
-		}
-		docActs, err := siapiStage(false)
-		if err != nil {
-			// Every serving tier is gone (text side down, and any concept
-			// side already failed above): surface the outage.
-			return res, err
-		}
-		for _, da := range docActs {
-			acts[da.DealID] = &combinedAct{doc: da.Score, dcs: da.Docs}
-		}
-		res.UnscopedFallback = true
-		if synDown {
-			res.Explain = append(res.Explain, "unscoped SIAPI query (synopsis degraded)")
-		} else {
-			res.Explain = append(res.Explain, "unscoped SIAPI query (no concept criteria)")
-		}
-	default: // step 17: R <- empty set
-		return res, nil
-	}
-
-	e.finishSearch(ctx, user, q, &res, acts, degrade)
-	return res, nil
-}
-
 // combinedAct accumulates one activity's rank components across stages:
 // the normalized synopsis score, the normalized document score, the
 // matched towers, and the per-activity document hits.
@@ -558,19 +345,11 @@ func topKActivities(all []Activity, limit int) []Activity {
 	return h
 }
 
-// synopsesFor returns the synopsis store owning dealID: the single store
-// on a monolithic engine, the owning shard's on a sharded one.
-func (e *Engine) synopsesFor(dealID string) *synopsis.Store {
-	if len(e.Shards) == 0 {
-		return e.Synopses
-	}
-	return e.Shards[ShardFor(dealID, len(e.Shards))].Synopses
-}
-
-// finishSearch runs the last two Figure-1 stages shared by the monolithic
-// and sharded paths: rank combination with bounded top-k selection (step
-// 18) and per-activity access filtering (step 19).
-func (e *Engine) finishSearch(ctx context.Context, user access.User, q FormQuery, res *Result, acts map[string]*combinedAct, degrade func(cause string, err error)) {
+// finishSearch runs the last two Figure-1 stages on the coordinator: rank
+// combination with bounded top-k selection (step 18) and per-activity
+// access filtering (step 19), which hydrates each visible activity's
+// synopsis from its owning shard.
+func (e *Engine) finishSearch(ctx context.Context, user access.User, q FormQuery, shards []ShardBackend, res *Result, acts map[string]*combinedAct, degrade func(cause string, err error)) {
 	// Step 18: rank by the combined score.
 	merge := obs.StartTimer()
 	_, msp := trace.StartSpan(ctx, "search.combine")
@@ -633,7 +412,7 @@ func (e *Engine) finishSearch(ctx context.Context, user access.User, q FormQuery
 			a.Docs = nil // synopsis-plus-contacts fallback
 			synopsisOnly++
 		}
-		deal, err := e.synopsesFor(a.DealID).Get(a.DealID)
+		deal, err := shards[ShardFor(a.DealID, len(shards))].Synopses.Get(a.DealID)
 		if err == nil {
 			a.Synopsis = &deal
 		}
@@ -750,10 +529,23 @@ func (e *Engine) ExploreCtx(ctx context.Context, user access.User, dealID string
 	if e.Faults != nil {
 		ctx = fault.With(ctx, e.Faults)
 	}
-	if len(e.Shards) > 0 {
-		return e.exploreSharded(ctx, dealID, dq, limit)
+	shards := e.shardList()
+	i := ShardFor(dealID, len(shards))
+	var st *index.Stats
+	epoch := ""
+	if len(shards) > 1 {
+		// Score the owning shard against cluster-global statistics, so hit
+		// scores match an unpartitioned index.
+		epoch = e.clusterEpoch()
+		var errs []error
+		st, errs = e.clusterStats(ctx, dq, epoch)
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
 	}
-	return resilientCall(ctx, e, BackendSIAPI, func(c context.Context) ([]siapi.DocHit, error) {
-		return e.backend().TrySearchCtx(c, dq, limit)
+	return callShard(ctx, e, shards, i, "search.siapi.shard", func(c context.Context, _ int, sb *ShardBackend) ([]siapi.DocHit, error) {
+		return resilientCall(c, e, shardBreakerName(BackendSIAPI, sb.Name), func(cc context.Context) ([]siapi.DocHit, error) {
+			return sb.Docs().TrySearchStatsCtx(cc, dq, limit, st, epoch)
+		})
 	})
 }

@@ -149,6 +149,67 @@ func TestConceptPlusTextScopes(t *testing.T) {
 	}
 }
 
+// TestDocScoreMatchesSIAPINormalization is the independent reference for
+// the search's coordinator-side normalization: every activity's DocScore
+// equals, float for float, the score siapi's own normalizing
+// SearchActivities returns for the same query, scoped and unscoped.
+func TestDocScoreMatchesSIAPINormalization(t *testing.T) {
+	e := newEngine(t)
+	// A second storage deal, so the scoped query spans two activities
+	// with different document scores.
+	if err := e.Synopses.Put(synopsis.Deal{
+		Overview: synopsis.Overview{DealID: "DEAL C", Customer: "Cobalt"},
+		Towers:   []synopsis.TowerScope{{Tower: "Storage Management Services", Significance: 0.4}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Docs.Index().Add(index.Document{ExtID: "DEAL C/plan.doc", Fields: []index.Field{
+		{Name: siapi.FieldTitle, Text: "Replication Plan"},
+		{Name: siapi.FieldBody, Text: "replication schedule and replication tooling for storage arrays"},
+		{Name: siapi.FieldDeal, Text: "DEAL C", Keyword: true},
+	}, Meta: map[string]string{"deal": "DEAL C"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []FormQuery{
+		{Tower: "Storage Management Services", AllWords: []string{"replication"}},
+		{AllWords: []string{"replication"}},
+	} {
+		res, err := e.Search(anyUser(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dq := e.composeSIAPIQuery(q)
+		if q.HasConcepts() {
+			sq, _ := e.composeSynopsisQuery(q)
+			hits, err := e.Synopses.Search(sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range hits {
+				dq.Deals = append(dq.Deals, h.DealID)
+			}
+		}
+		want := map[string]float64{}
+		for _, a := range e.Docs.SearchActivities(dq, 5) {
+			want[a.DealID] = a.Score
+		}
+		if len(res.Activities) != len(want) || len(want) < 2 {
+			t.Fatalf("%+v: activities %v, siapi reference %v", q, dealIDs(res), want)
+		}
+		fractional := false
+		for _, a := range res.Activities {
+			ref, ok := want[a.DealID]
+			if !ok || a.DocScore != ref {
+				t.Errorf("%+v: %s DocScore = %v, siapi normalizes to %v (present %v)", q, a.DealID, a.DocScore, ref, ok)
+			}
+			fractional = fractional || (ref > 0 && ref < 1)
+		}
+		if !fractional {
+			t.Fatalf("%+v: every reference score is 0 or 1; normalization is not exercised", q)
+		}
+	}
+}
+
 func TestConceptMatchButNoDocs(t *testing.T) {
 	e := newEngine(t)
 	res, err := e.Search(anyUser(), FormQuery{

@@ -3,9 +3,9 @@ package core
 // Synopsis query memoization. Form queries repeat heavily (the search form
 // offers a finite vocabulary of towers, industries, and consultants), while
 // the synopsis store only changes when a deal is re-analyzed — so the core
-// engine memoizes synopsis search results in an LRU keyed on a canonical
-// query encoding plus the store's generation counter. Writers invalidate by
-// bumping the counter; they never touch the cache.
+// engine memoizes synopsis search results in one LRU per shard, keyed on a
+// canonical query encoding plus that shard's store generation counter.
+// Writers invalidate by bumping the counter; they never touch the cache.
 
 import (
 	"context"
@@ -20,25 +20,29 @@ import (
 // few hundred entries covers the working set.
 const synopsisMemoSize = 256
 
-// synopsisSearch is Synopses.Search behind the epoch-invalidated memo. The
-// second result reports whether the memo served the hits (trace spans
-// record it).
-func (e *Engine) synopsisSearch(ctx context.Context, sq synopsis.Query) ([]synopsis.Hit, bool, error) {
-	e.synOnce.Do(func() {
-		e.synMemo = lru.New[string, []synopsis.Hit](synopsisMemoSize)
+// shardSynopsisSearch is shard i's Synopses.Search behind that shard's
+// epoch-invalidated memo; n is the shard count. The second result reports
+// whether the memo served the hits (trace spans record it).
+func (e *Engine) shardSynopsisSearch(ctx context.Context, i, n int, sb *ShardBackend, sq synopsis.Query) ([]synopsis.Hit, bool, error) {
+	e.synShardOnce.Do(func() {
+		e.synShardMemos = make([]*lru.Cache[string, []synopsis.Hit], n)
+		for j := range e.synShardMemos {
+			e.synShardMemos[j] = lru.New[string, []synopsis.Hit](synopsisMemoSize)
+		}
 	})
+	memo := e.synShardMemos[i]
 	key := synopsisKey(sq)
-	epoch := e.Synopses.Generation()
-	if hits, ok := e.synMemo.Get(key, epoch); ok {
+	epoch := sb.Synopses.Generation()
+	if hits, ok := memo.Get(key, epoch); ok {
 		e.Metrics.Counter("synopsis_cache_hits_total").Inc()
 		return cloneSynHits(hits), true, nil
 	}
 	e.Metrics.Counter("synopsis_cache_misses_total").Inc()
-	hits, err := e.Synopses.SearchCtx(ctx, sq)
+	hits, err := sb.Synopses.SearchCtx(ctx, sq)
 	if err != nil {
 		return nil, false, err
 	}
-	e.synMemo.Put(key, epoch, cloneSynHits(hits))
+	memo.Put(key, epoch, cloneSynHits(hits))
 	return hits, false, nil
 }
 

@@ -8,7 +8,7 @@ package core
 // idempotent read calls, and a small circuit breaker per backend so a dead
 // backend fails fast instead of burning the budget of every request.
 // Degradation policy (which tier of answer survives which outage) lives in
-// core.go's search flow; this file supplies the mechanics.
+// shard.go's search flow; this file supplies the mechanics.
 
 import (
 	"context"
@@ -191,9 +191,9 @@ const (
 func (e *Engine) resilience() Resilience { return e.Resilient.withDefaults() }
 
 // breakerFor lazily creates the named backend's breaker. Keys are open
-// ended: the monolithic engine uses the backend names alone, the sharded
-// engine one "<backend>#<shard>" breaker per shard, so one dead shard
-// trips only its own circuit.
+// ended: every shard has one "<backend>#<shard>" breaker per hop, so one
+// dead shard trips only its own circuit, and the unnamed shard of an
+// engine without Shards uses the backend name alone.
 func (e *Engine) breakerFor(backend string) *breaker {
 	e.brMu.Lock()
 	defer e.brMu.Unlock()
@@ -215,17 +215,24 @@ func (e *Engine) BreakerState(backend string) string {
 }
 
 // shardBreakerName is the breaker/metric key for one backend hop of one
+// shard: "<backend>#<shard>", or the bare backend name for an unnamed
 // shard.
 func shardBreakerName(backend, shard string) string {
+	if shard == "" {
+		return backend
+	}
 	return backend + "#" + shard
 }
 
 // ShardBreakerStates reports every shard's breaker state for one backend
-// hop, keyed by shard name — the per-shard health checks read it.
+// hop, keyed by shard name — the health checks, samplers, and dashboard
+// read it. An engine without Shards reports its one unnamed shard under
+// the empty name.
 func (e *Engine) ShardBreakerStates(backend string) map[string]string {
-	out := make(map[string]string, len(e.Shards))
-	for i := range e.Shards {
-		name := e.Shards[i].Name
+	shards := e.shardList()
+	out := make(map[string]string, len(shards))
+	for i := range shards {
+		name := shards[i].Name
 		out[name] = e.BreakerState(shardBreakerName(backend, name))
 	}
 	return out

@@ -1,26 +1,29 @@
 package core
 
-// Sharded scatter-gather search. The corpus is partitioned by hashed deal
-// ID into N self-contained shards — each with its own index, synopsis
-// store, and durability — and the Figure-1 search path fans every stage
-// out per shard: synopsis scatter, a global-statistics scatter (so BM25
-// scores match the monolithic engine bit-for-bit; see index/stats.go),
-// and a document scatter scoped per shard to its own synopsis hits. The
-// coordinator merges with a single cluster-wide normalization and a
-// bounded top-k heap, reproducing the single-engine ranking exactly.
+// The Figure-1 search path as a scatter-gather over N ≥ 1 shards. The
+// corpus is partitioned by hashed deal ID into self-contained shards —
+// each with its own index, synopsis store, and durability — and every
+// stage fans out per shard: synopsis scatter, a global-statistics scatter
+// (so BM25 scores match an unpartitioned index bit-for-bit; see
+// index/stats.go), and a document scatter scoped per shard to its own
+// synopsis hits. The coordinator merges with a single cluster-wide
+// normalization and a bounded top-k heap. An engine without Shards is
+// the N = 1 case: it searches its own Synopses and document backend as
+// one unnamed shard.
 //
 // Resilience generalizes from "2 backends" to N shards: each shard's
 // synopsis and document hops get their own circuit breaker
-// ("<backend>#<shard>"), each shard goroutine gets a deadline carved from
-// the remaining search budget (80%, reserving coordinator headroom), and
-// a straggling, dead, or breaker-open shard degrades the result — its
-// deals drop to a reduced tier and the degraded flag is set — instead of
-// failing the query. Only a total outage of a stage with no tier left to
-// serve surfaces as an error, mirroring the monolithic degradation
-// ladder.
+// ("<backend>#<shard>"; an unnamed shard keeps the bare backend name),
+// each scatter goroutine gets a deadline carved from the remaining search
+// budget (80%, reserving coordinator headroom), and a straggling, dead, or
+// breaker-open shard degrades the result — its deals drop to a reduced
+// tier and the degraded flag is set — instead of failing the query. Only
+// a total outage of a stage with no tier left to serve surfaces as an
+// error.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strconv"
@@ -41,8 +44,8 @@ import (
 // ShardBackend is one self-contained shard: a synopsis store and a live
 // document engine over the same partition of deals. Docs is a getter so
 // per-shard compaction can republish its engine atomically (the same
-// SwapDocs discipline the monolith uses). Faults, when set, is attached
-// to this shard's scatter goroutines only — chaos tests kill or slow one
+// SwapDocs discipline a single engine uses). Faults, when set, is
+// attached to this shard's calls only — chaos tests kill or slow one
 // shard while the rest stay healthy.
 type ShardBackend struct {
 	Name     string
@@ -72,31 +75,17 @@ func ShardForDoc(dealID, path string, n int) int {
 	return ShardFor(dealID, n)
 }
 
-// Sharded reports whether this engine coordinates shards.
-func (e *Engine) Sharded() bool { return len(e.Shards) > 0 }
+// shardList returns the shards a search fans out over: e.Shards on a
+// coordinator, otherwise the engine's own stores as one unnamed shard.
+func (e *Engine) shardList() []ShardBackend {
+	if len(e.Shards) > 0 {
+		return e.Shards
+	}
+	return []ShardBackend{{Synopses: e.Synopses, Docs: e.backend}}
+}
 
 // statsMemoSize bounds the coordinator's merged-stats memo.
 const statsMemoSize = 128
-
-// shardCtx derives one shard's scatter context: a per-shard deadline
-// carved from the remaining search budget (80% of what is left, reserving
-// headroom for the coordinator's merge and access stages after the
-// slowest shard reports), plus the shard's fault injector when set.
-func shardCtx(ctx context.Context, sb *ShardBackend) (context.Context, context.CancelFunc) {
-	cancel := context.CancelFunc(func() {})
-	if deadline, ok := ctx.Deadline(); ok {
-		remaining := time.Until(deadline)
-		slice := remaining - remaining/5
-		if slice < time.Millisecond {
-			slice = time.Millisecond
-		}
-		ctx, cancel = context.WithDeadline(ctx, time.Now().Add(slice))
-	}
-	if sb.Faults != nil {
-		ctx = fault.With(ctx, sb.Faults)
-	}
-	return ctx, cancel
-}
 
 // shardOut carries one shard's scatter result.
 type shardOut[T any] struct {
@@ -104,40 +93,92 @@ type shardOut[T any] struct {
 	err error
 }
 
-// scatterShards fans fn out to every shard on its own goroutine — each
-// under a per-shard child span, deadline, fault injector, and
-// eil_shard_search_* metrics — and gathers results in shard order.
-func scatterShards[T any](ctx context.Context, e *Engine, span string, fn func(ctx context.Context, i int, sb *ShardBackend) (T, error)) []shardOut[T] {
-	outs := make([]shardOut[T], len(e.Shards))
+// scatterShards runs fn against every shard through callShard and
+// returns the results in shard order: several shards each on their own
+// goroutine, a single shard inline on the caller's.
+func scatterShards[T any](ctx context.Context, e *Engine, shards []ShardBackend, span string, fn func(ctx context.Context, i int, sb *ShardBackend) (T, error)) []shardOut[T] {
+	outs := make([]shardOut[T], len(shards))
+	if len(shards) == 1 {
+		outs[0].out, outs[0].err = callShard(ctx, e, shards, 0, span, fn)
+		return outs
+	}
 	var wg sync.WaitGroup
-	for i := range e.Shards {
+	for i := range shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sb := &e.Shards[i]
-			t := obs.StartTimer()
-			sctx, sp := trace.StartSpan(ctx, span)
-			sctx, cancel := shardCtx(sctx, sb)
-			defer cancel()
-			out, err := fn(sctx, i, sb)
-			d := t.Elapsed()
-			e.Metrics.Counter("eil_shard_search_total", "shard", sb.Name).Inc()
-			if err != nil {
-				e.Metrics.Counter("eil_shard_search_errors_total", "shard", sb.Name).Inc()
-			}
-			e.Metrics.Histogram("eil_shard_search_seconds", nil, "shard", sb.Name).ObserveDurationWithExemplar(d, trace.ID(sctx))
-			if sp != nil {
-				sp.Set("shard", sb.Name)
-				if err != nil {
-					sp.Set("error", err.Error())
-				}
-				sp.End()
-			}
-			outs[i] = shardOut[T]{out, err}
+			outs[i].out, outs[i].err = callShard(ctx, e, shards, i, span, fn)
 		}(i)
 	}
 	wg.Wait()
 	return outs
+}
+
+// callShard runs fn against shards[i] with the shard's fault injector
+// attached. One shard of several also gets a child span tagged with its
+// name, eil_shard_search_* metrics, and a deadline of 80% of the
+// remaining budget (min 1ms), which leaves the coordinator headroom to
+// merge the survivors and answer degraded after the slowest shard
+// reports. A single shard needs none of these: it runs under the
+// caller's span and deadline, and its span and series would only repeat
+// the stage span and search_stage_seconds.
+func callShard[T any](ctx context.Context, e *Engine, shards []ShardBackend, i int, span string, fn func(ctx context.Context, i int, sb *ShardBackend) (T, error)) (T, error) {
+	sb := &shards[i]
+	if sb.Faults != nil {
+		ctx = fault.With(ctx, sb.Faults)
+	}
+	if len(shards) == 1 {
+		return fn(ctx, i, sb)
+	}
+	t := obs.StartTimer()
+	ctx, sp := trace.StartSpan(ctx, span)
+	if deadline, ok := ctx.Deadline(); ok {
+		remaining := time.Until(deadline)
+		slice := max(remaining-remaining/5, time.Millisecond)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, time.Now().Add(slice))
+		defer cancel()
+	}
+	out, err := fn(ctx, i, sb)
+	e.Metrics.Counter("eil_shard_search_total", "shard", sb.Name).Inc()
+	if err != nil {
+		e.Metrics.Counter("eil_shard_search_errors_total", "shard", sb.Name).Inc()
+	}
+	e.Metrics.Histogram("eil_shard_search_seconds", nil, "shard", sb.Name).ObserveDurationWithExemplar(t.Elapsed(), trace.ID(ctx))
+	if sp != nil {
+		sp.Set("shard", sb.Name)
+		if err != nil {
+			sp.Set("error", err.Error())
+		}
+		sp.End()
+	}
+	return out, err
+}
+
+// stageError is the error a stage returns when no shard could serve it:
+// one BackendError naming the stage, wrapping the failing shard's cause
+// once (resilientCall already wrapped that cause in a per-shard
+// BackendError, which would otherwise repeat "backend unavailable").
+func stageError(stage string, sb *ShardBackend, err error) error {
+	var be *BackendError
+	if errors.As(err, &be) {
+		err = be.Err
+	}
+	if sb.Name != "" {
+		err = fmt.Errorf("%s: %w", sb.Name, err)
+	}
+	return &BackendError{Backend: stage, Err: err}
+}
+
+// appendOwned appends one shard's freshly built result list to the
+// gathered one. The first list is adopted rather than copied — every
+// shard's list is the caller's to keep — so a single shard gathers
+// without allocating.
+func appendOwned[T any](gathered, shard []T) []T {
+	if gathered == nil {
+		return shard
+	}
+	return append(gathered, shard...)
 }
 
 // clusterEpoch joins every shard's index generation into one cache-epoch
@@ -155,39 +196,14 @@ func (e *Engine) clusterEpoch() string {
 	return b.String()
 }
 
-// shardSynopsisSearch is the per-shard synopsis query behind a per-shard
-// epoch-invalidated memo (each shard's store has its own generation
-// counter, so the memos cannot share one cache).
-func (e *Engine) shardSynopsisSearch(ctx context.Context, i int, sb *ShardBackend, sq synopsis.Query) ([]synopsis.Hit, bool, error) {
-	e.synShardOnce.Do(func() {
-		e.synShardMemos = make([]*lru.Cache[string, []synopsis.Hit], len(e.Shards))
-		for j := range e.synShardMemos {
-			e.synShardMemos[j] = lru.New[string, []synopsis.Hit](synopsisMemoSize)
-		}
-	})
-	memo := e.synShardMemos[i]
-	key := synopsisKey(sq)
-	epoch := sb.Synopses.Generation()
-	if hits, ok := memo.Get(key, epoch); ok {
-		e.Metrics.Counter("synopsis_cache_hits_total").Inc()
-		return cloneSynHits(hits), true, nil
-	}
-	e.Metrics.Counter("synopsis_cache_misses_total").Inc()
-	hits, err := sb.Synopses.SearchCtx(ctx, sq)
-	if err != nil {
-		return nil, false, err
-	}
-	memo.Put(key, epoch, cloneSynHits(hits))
-	return hits, false, nil
-}
-
 // clusterStats runs the statistics phase of the two-phase scoring
 // protocol: scatter per-shard stats collection for dq, merge. Per-shard
 // failures come back in errs (the caller treats a shard that cannot
 // report stats as down for the whole document stage); the merged table is
 // memoized per query and cluster epoch, but only when every shard
 // reported — a partial table must not be served to later healthy
-// searches.
+// searches. Only coordinators run it: one shard's local statistics are
+// already the global ones.
 func (e *Engine) clusterStats(ctx context.Context, dq siapi.Query, epoch string) (*index.Stats, []error) {
 	e.statsOnce.Do(func() {
 		e.statsMemo = lru.New[string, *index.Stats](statsMemoSize)
@@ -199,7 +215,7 @@ func (e *Engine) clusterStats(ctx context.Context, dq siapi.Query, epoch string)
 		return st, errs
 	}
 	e.Metrics.Counter("shard_stats_cache_misses_total").Inc()
-	outs := scatterShards(ctx, e, "search.siapi.stats", func(c context.Context, i int, sb *ShardBackend) (*index.Stats, error) {
+	outs := scatterShards(ctx, e, e.Shards, "search.siapi.stats", func(c context.Context, i int, sb *ShardBackend) (*index.Stats, error) {
 		return resilientCall(c, e, shardBreakerName(BackendSIAPI, sb.Name), func(cc context.Context) (*index.Stats, error) {
 			return sb.Docs().TryCollectStatsCtx(cc, dq)
 		})
@@ -224,12 +240,19 @@ func (e *Engine) clusterStats(ctx context.Context, dq siapi.Query, epoch string)
 	return merged, errs
 }
 
-// searchSharded is the Figure-1 search path as a parallel scatter-gather
-// over e.Shards. It mirrors the monolithic search() stage for stage; the
-// differential suite holds the two paths to identical rankings.
-func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuery) (Result, error) {
+// search runs Figure-1 steps 1-19 for every engine. With one shard the
+// two single-shard shortcuts apply: the scatter is an inline call, and
+// the document stage scores with the shard's own statistics (they are
+// the global ones), so a monolith ranks, caches, and reports exactly as
+// an unpartitioned engine.
+func (e *Engine) search(ctx context.Context, user access.User, q FormQuery) (Result, error) {
 	var res Result
-	n := len(e.Shards)
+	shards := e.shardList()
+	n := len(shards)
+	// Resilience envelope: the search budget becomes a context deadline
+	// that every backend attempt slices (see resilience.go), and an
+	// engine-configured fault injector (chaos benching) rides the context
+	// to the instrumented call sites.
 	if r := e.resilience(); r.Budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Budget)
@@ -238,6 +261,9 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 	if e.Faults != nil {
 		ctx = fault.With(ctx, e.Faults)
 	}
+	// degrade records one backend outage survived by serving a reduced
+	// answer: result flags, per-cause counter, and root-span attributes
+	// (so ?explain=1 shows what was lost and why).
 	degrade := func(cause string, err error) {
 		res.Degraded = true
 		res.DegradedCauses = append(res.DegradedCauses, cause)
@@ -271,8 +297,10 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 	}
 	e.observeStage(ctx, StageCompose, compose.Elapsed())
 
-	// Step 4: synopsis scatter. Hits union in shard order; a failed shard
-	// costs only its own deals unless every shard is down.
+	// Step 4: synopsis scatter, each shard behind the resilience wrapper
+	// (breaker admission, budget-sliced attempt deadlines, bounded retry).
+	// Hits union in shard order; a failed shard costs only its own deals
+	// unless every shard is down.
 	var synHits []synopsis.Hit
 	synDown := false
 	if !sq.Empty() {
@@ -282,29 +310,30 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 			hits   []synopsis.Hit
 			cached bool
 		}
-		outs := scatterShards(sctx, e, "search.synopsis.shard", func(c context.Context, i int, sb *ShardBackend) (synOut, error) {
+		outs := scatterShards(sctx, e, shards, "search.synopsis.shard", func(c context.Context, i int, sb *ShardBackend) (synOut, error) {
 			return resilientCall(c, e, shardBreakerName(BackendSynopsis, sb.Name), func(cc context.Context) (synOut, error) {
-				hits, cached, err := e.shardSynopsisSearch(cc, i, sb, sq)
+				hits, cached, err := e.shardSynopsisSearch(cc, i, n, sb, sq)
 				return synOut{hits, cached}, err
 			})
 		})
-		okCount, failCount := 0, 0
+		failCount, cached := 0, true
 		var firstErr error
-		for _, r := range outs {
+		for i, r := range outs {
 			if r.err != nil {
 				failCount++
 				if firstErr == nil {
-					firstErr = r.err
+					firstErr = stageError(BackendSynopsis, &shards[i], r.err)
 				}
 				continue
 			}
-			okCount++
-			synHits = append(synHits, r.out.hits...)
+			cached = cached && r.out.cached
+			synHits = appendOwned(synHits, r.out.hits)
 		}
 		if sp != nil {
+			sp.SetBool("cache_hit", failCount == 0 && cached)
 			sp.SetInt("hits", len(synHits))
-			sp.SetInt("shards_failed", failCount)
 			if firstErr != nil {
+				sp.SetInt("shards_failed", failCount)
 				sp.Set("error", firstErr.Error())
 			}
 			sp.End()
@@ -313,11 +342,13 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 		switch {
 		case failCount == 0:
 			res.Explain = append(res.Explain, fmt.Sprintf("synopsis query matched %d activities", len(synHits)))
-		case okCount == 0 && dq.Empty():
-			// Concept-only query with every synopsis shard down: no tier
-			// left to serve.
-			return res, &BackendError{Backend: BackendSynopsis, Err: firstErr}
-		case okCount == 0:
+		case failCount == n && dq.Empty():
+			// Concept-only query with the synopsis store down: there is no
+			// text to fall back to, so the outage surfaces as unavailable.
+			return res, firstErr
+		case failCount == n:
+			// Harvest degradation (Fox & Brewer): drop the business-context
+			// half, keep answering from the full-text index unscoped.
 			synDown = true
 			degrade(BackendSynopsis, firstErr)
 			res.Explain = append(res.Explain, "synopsis backend unavailable; degraded to unscoped full-text")
@@ -329,7 +360,7 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 		}
 	}
 
-	synByDeal := map[string]synopsis.Hit{}
+	synByDeal := make(map[string]synopsis.Hit, len(synHits))
 	maxSyn := 0.0
 	for _, h := range synHits {
 		synByDeal[h.DealID] = h
@@ -351,42 +382,47 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 		c.tws = h.MatchedTowers
 	}
 
-	// shardedSIAPIStage scatters the two-phase document search: global
-	// stats, then per-shard activity search. When scoping is on, each
+	// siapiStage scatters the document search. When scoping is on, each
 	// shard's query is restricted to its own synopsis-hit deals (a deal's
-	// documents live wholly on its shard, so the union equals the
-	// monolithic scoped search). failedShards reports which shards
-	// returned nothing; merged activity hits carry raw (unnormalized)
-	// cluster-scored averages.
-	shardedSIAPIStage := func(scoping bool) (docActs []siapi.ActivityHit, failedShards []bool, okCount, failCount int, firstErr error) {
+	// documents live wholly on its shard, so the union equals the scoped
+	// search of an unpartitioned index) and shards without any are
+	// skipped. Several shards score against merged cluster statistics
+	// (the two-phase protocol); one shard scores with its own, which are
+	// the global ones, under the empty stats epoch — so its SIAPI cache
+	// keys are those of a plain unpartitioned search. Shards return raw
+	// per-activity averages; the coordinator normalizes once against the
+	// best activity across every shard. failedShards is nil unless a
+	// shard failed.
+	siapiStage := func(scoping bool) (docActs []siapi.ActivityHit, failedShards []bool, okCount, failCount int, firstErr error) {
 		perDeal := q.DocsPerDeal
 		if perDeal <= 0 {
 			perDeal = 5
 		}
 		t := obs.StartTimer()
 		sctx, sp := trace.StartSpan(ctx, "search.siapi")
-		epoch := e.clusterEpoch()
-		st, statsErrs := e.clusterStats(sctx, dq, epoch)
-		var dealsByShard [][]string
-		relevant := make([]bool, n)
-		for i := range relevant {
-			relevant[i] = true
+		var st *index.Stats
+		var statsErrs []error
+		epoch := ""
+		if n > 1 {
+			epoch = e.clusterEpoch()
+			st, statsErrs = e.clusterStats(sctx, dq, epoch)
 		}
+		var dealsByShard [][]string
 		if scoping {
 			dealsByShard = make([][]string, n)
 			for _, h := range synHits {
 				i := ShardFor(h.DealID, n)
+				if dealsByShard[i] == nil {
+					dealsByShard[i] = make([]string, 0, len(synHits)/n+1)
+				}
 				dealsByShard[i] = append(dealsByShard[i], h.DealID)
 			}
-			for i := range relevant {
-				relevant[i] = len(dealsByShard[i]) > 0
-			}
 		}
-		outs := scatterShards(sctx, e, "search.siapi.shard", func(c context.Context, i int, sb *ShardBackend) ([]siapi.ActivityHit, error) {
-			if !relevant[i] {
+		outs := scatterShards(sctx, e, shards, "search.siapi.shard", func(c context.Context, i int, sb *ShardBackend) ([]siapi.ActivityHit, error) {
+			if scoping && len(dealsByShard[i]) == 0 {
 				return nil, nil
 			}
-			if statsErrs[i] != nil {
+			if statsErrs != nil && statsErrs[i] != nil {
 				return nil, statsErrs[i]
 			}
 			sdq := dq
@@ -397,24 +433,22 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 				return sb.Docs().TrySearchActivitiesRawCtx(cc, sdq, perDeal, st, epoch)
 			})
 		})
-		failedShards = make([]bool, n)
 		for i, r := range outs {
-			if !relevant[i] {
+			if scoping && len(dealsByShard[i]) == 0 {
 				continue
 			}
 			if r.err != nil {
 				failCount++
-				failedShards[i] = true
-				if firstErr == nil {
-					firstErr = r.err
+				if failedShards == nil {
+					failedShards = make([]bool, n)
+					firstErr = stageError(BackendSIAPI, &shards[i], r.err)
 				}
+				failedShards[i] = true
 				continue
 			}
 			okCount++
-			docActs = append(docActs, r.out...)
+			docActs = appendOwned(docActs, r.out)
 		}
-		// Coordinator normalization: one cluster-wide best activity, the
-		// same single maxAvg the monolithic engine computes.
 		maxAvg := 0.0
 		for _, da := range docActs {
 			if da.Score > maxAvg {
@@ -428,9 +462,12 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 		}
 		if sp != nil {
 			sp.SetBool("scoped", scoping)
+			if scoping {
+				sp.SetInt("scope_deals", len(synHits))
+			}
 			sp.SetInt("activities", len(docActs))
-			sp.SetInt("shards_failed", failCount)
 			if firstErr != nil {
+				sp.SetInt("shards_failed", failCount)
 				sp.Set("error", firstErr.Error())
 			}
 			sp.End()
@@ -442,12 +479,15 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 	switch {
 	case len(synHits) > 0: // steps 5-11
 		if !dq.Empty() {
-			docActs, failedShards, okCount, failCount, err := shardedSIAPIStage(!e.DisableScoping)
+			// Step 8: scope the document search to the activities in S.
+			docActs, failedShards, okCount, failCount, err := siapiStage(!e.DisableScoping)
 			if failCount > 0 {
 				degrade(BackendSIAPI, err)
 				if okCount == 0 {
-					// Every relevant document shard down with the synopsis
-					// side healthy: serve the synopsis-plus-contacts tier.
+					// Index down with the synopsis side healthy: serve the
+					// synopsis-plus-contacts tier (R <- S, no documents) —
+					// the same reduced answer the paper's access control
+					// gives unauthorized users, here caused by an outage.
 					res.Explain = append(res.Explain, "document index unavailable; degraded to synopsis-plus-contacts")
 					for _, h := range synHits {
 						addSyn(h)
@@ -481,13 +521,16 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 		}
 	case !dq.Empty(): // steps 13-15: unscoped SIAPI fallback
 		if !sq.Empty() && !synDown {
+			// The synopsis query ran and matched nothing: the concept
+			// criteria are hard filters, so the conjunction is empty.
 			res.Explain = append(res.Explain, "concept criteria matched no activities")
 			break
 		}
-		docActs, _, okCount, failCount, err := shardedSIAPIStage(false)
+		docActs, _, okCount, failCount, err := siapiStage(false)
 		if okCount == 0 {
-			// Every serving tier is gone: surface the outage.
-			return res, &BackendError{Backend: BackendSIAPI, Err: err}
+			// Every serving tier is gone (text side down, and any concept
+			// side already failed above): surface the outage.
+			return res, err
 		}
 		if failCount > 0 {
 			degrade(BackendSIAPI, err)
@@ -506,33 +549,6 @@ func (e *Engine) searchSharded(ctx context.Context, user access.User, q FormQuer
 		return res, nil
 	}
 
-	e.finishSearch(ctx, user, q, &res, acts, degrade)
+	e.finishSearch(ctx, user, q, shards, &res, acts, degrade)
 	return res, nil
-}
-
-// exploreSharded drills into one activity's documents on its owning
-// shard, scored against cluster-global statistics so the hit scores match
-// what the monolithic engine would return.
-func (e *Engine) exploreSharded(ctx context.Context, dealID string, dq siapi.Query, limit int) ([]siapi.DocHit, error) {
-	epoch := e.clusterEpoch()
-	st, errs := e.clusterStats(ctx, dq, epoch)
-	i := ShardFor(dealID, len(e.Shards))
-	if errs[i] != nil {
-		return nil, errs[i]
-	}
-	sb := &e.Shards[i]
-	sctx, sp := trace.StartSpan(ctx, "search.siapi.shard")
-	sctx, cancel := shardCtx(sctx, sb)
-	defer cancel()
-	hits, err := resilientCall(sctx, e, shardBreakerName(BackendSIAPI, sb.Name), func(c context.Context) ([]siapi.DocHit, error) {
-		return sb.Docs().TrySearchStatsCtx(c, dq, limit, st, epoch)
-	})
-	if sp != nil {
-		sp.Set("shard", sb.Name)
-		if err != nil {
-			sp.Set("error", err.Error())
-		}
-		sp.End()
-	}
-	return hits, err
 }

@@ -375,11 +375,12 @@ func (e *Engine) TrySearchActivitiesCtx(ctx context.Context, q Query, perDeal in
 	return e.tryActivities(ctx, q, perDeal, nil, "", true)
 }
 
-// TrySearchActivitiesRawCtx is the sharded scatter-gather variant: it
-// scores documents against merged cluster-global statistics and returns
-// raw per-activity average scores (no [0, 1] normalization), so the
-// coordinator can normalize once against the best activity across every
-// shard — exactly what the monolithic engine computes.
+// TrySearchActivitiesRawCtx is the core search's per-shard variant: it
+// scores documents against st (merged cluster-global statistics; nil
+// scores locally) and returns raw per-activity average scores (no [0, 1]
+// normalization), so the coordinator can normalize once against the best
+// activity across every shard — exactly what SearchActivities computes
+// over an unpartitioned index.
 func (e *Engine) TrySearchActivitiesRawCtx(ctx context.Context, q Query, perDeal int, st *index.Stats, statsEpoch string) ([]ActivityHit, error) {
 	return e.tryActivities(ctx, q, perDeal, st, statsEpoch, false)
 }

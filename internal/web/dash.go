@@ -165,19 +165,21 @@ func (h *handler) debugDash(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	if eng := h.sys.CoreEngine(); eng != nil {
+		// One row per shard circuit, labelled "<backend>#<shard>"; a
+		// single engine's unnamed shard is labelled by the backend alone.
 		for _, b := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-			if eng.Sharded() {
-				states := eng.ShardBreakerStates(b)
-				names := make([]string, 0, len(states))
-				for name := range states {
-					names = append(names, name)
+			states := eng.ShardBreakerStates(b)
+			names := make([]string, 0, len(states))
+			for name := range states {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				label := b
+				if name != "" {
+					label += "#" + name
 				}
-				sort.Strings(names)
-				for _, name := range names {
-					data.Breakers = append(data.Breakers, dashBreaker{Backend: b + "#" + name, State: states[name]})
-				}
-			} else {
-				data.Breakers = append(data.Breakers, dashBreaker{Backend: b, State: eng.BreakerState(b)})
+				data.Breakers = append(data.Breakers, dashBreaker{Backend: label, State: states[name]})
 			}
 		}
 	}

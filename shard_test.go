@@ -2,7 +2,10 @@ package eil
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +35,11 @@ func clusterFixture(t *testing.T, n int) (*synth.Corpus, *System, *Cluster) {
 	}
 	return corpus, mono, cluster
 }
+
+// identityShardCounts are the cluster sizes the identity suite runs at:
+// n=1 is the one-shard case every single engine also searches as, n=3 a
+// real scatter (TestShardedSearchMatchesMonolithManyShards adds n=5).
+var identityShardCounts = []int{1, 3}
 
 // differentialQueries is the identity-suite query set: the paper's ten
 // Table-2 towers, text predicates of every flavour, conjunctions, the
@@ -131,29 +139,33 @@ func assertSameResult(t *testing.T, label string, mono, sharded core.Result) {
 	}
 }
 
-// TestShardedSearchMatchesMonolith is the differential identity suite: a
-// 3-shard scatter-gather search must produce rankings identical — deal
-// order, combined and per-side scores, documents — to the single-shard
-// engine over the full evaluation query set.
+// TestShardedSearchMatchesMonolith is the differential identity suite: an
+// n-shard scatter-gather search must produce rankings identical — deal
+// order, combined and per-side scores, documents — to the single engine
+// over the full evaluation query set.
 func TestShardedSearchMatchesMonolith(t *testing.T) {
-	_, mono, cluster := clusterFixture(t, 3)
-	nonEmpty := 0
-	for _, q := range differentialQueries() {
-		mres, merr := mono.Search(admin(), q)
-		sres, serr := cluster.Search(admin(), q)
-		if (merr == nil) != (serr == nil) {
-			t.Fatalf("%+v: error mismatch: mono=%v sharded=%v", q, merr, serr)
-		}
-		if merr != nil {
-			continue
-		}
-		assertSameResult(t, q.Tower+"/"+q.ExactPhrase, mres, sres)
-		if len(mres.Activities) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty < 5 {
-		t.Fatalf("only %d queries returned activities; differential suite is vacuous", nonEmpty)
+	for _, n := range identityShardCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			_, mono, cluster := clusterFixture(t, n)
+			nonEmpty := 0
+			for _, q := range differentialQueries() {
+				mres, merr := mono.Search(admin(), q)
+				sres, serr := cluster.Search(admin(), q)
+				if (merr == nil) != (serr == nil) {
+					t.Fatalf("%+v: error mismatch: mono=%v sharded=%v", q, merr, serr)
+				}
+				if merr != nil {
+					continue
+				}
+				assertSameResult(t, q.Tower+"/"+q.ExactPhrase, mres, sres)
+				if len(mres.Activities) > 0 {
+					nonEmpty++
+				}
+			}
+			if nonEmpty < 5 {
+				t.Fatalf("only %d queries returned activities; differential suite is vacuous", nonEmpty)
+			}
+		})
 	}
 }
 
@@ -185,94 +197,106 @@ func TestShardedSearchMatchesMonolithManyShards(t *testing.T) {
 // normalized to (score desc, path asc) before comparison, and limit 0
 // avoids truncation at an ambiguous tie boundary.
 func TestShardedKeywordSearchMatchesMonolith(t *testing.T) {
-	_, mono, cluster := clusterFixture(t, 3)
-	for _, q := range []string{
-		"storage replication",
-		`"cross tower TSA"`,
-		"storage -tape",
-		"stor*",
-		"network router",
-	} {
-		mhs := mono.KeywordSearch(q, 0)
-		shs := cluster.KeywordSearch(q, 0)
-		sort.Slice(mhs, func(i, j int) bool {
-			if mhs[i].Score != mhs[j].Score {
-				return mhs[i].Score > mhs[j].Score
+	for _, n := range identityShardCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			_, mono, cluster := clusterFixture(t, n)
+			for _, q := range []string{
+				"storage replication",
+				`"cross tower TSA"`,
+				"storage -tape",
+				"stor*",
+				"network router",
+			} {
+				mhs := mono.KeywordSearch(q, 0)
+				shs := cluster.KeywordSearch(q, 0)
+				sort.Slice(mhs, func(i, j int) bool {
+					if mhs[i].Score != mhs[j].Score {
+						return mhs[i].Score > mhs[j].Score
+					}
+					return mhs[i].Path < mhs[j].Path
+				})
+				sort.Slice(shs, func(i, j int) bool {
+					if shs[i].Score != shs[j].Score {
+						return shs[i].Score > shs[j].Score
+					}
+					return shs[i].Path < shs[j].Path
+				})
+				if len(mhs) != len(shs) {
+					t.Fatalf("%q: hit count: mono=%d sharded=%d", q, len(mhs), len(shs))
+				}
+				for i := range mhs {
+					if mhs[i].Path != shs[i].Path || mhs[i].Score != shs[i].Score || mhs[i].DealID != shs[i].DealID {
+						t.Errorf("%q: hit %d: mono=(%s,%v) sharded=(%s,%v)", q, i, mhs[i].Path, mhs[i].Score, shs[i].Path, shs[i].Score)
+					}
+				}
+				if mc, sc := mono.KeywordCount(q), cluster.KeywordCount(q); mc != sc {
+					t.Errorf("%q: count: mono=%d sharded=%d", q, mc, sc)
+				}
 			}
-			return mhs[i].Path < mhs[j].Path
 		})
-		sort.Slice(shs, func(i, j int) bool {
-			if shs[i].Score != shs[j].Score {
-				return shs[i].Score > shs[j].Score
-			}
-			return shs[i].Path < shs[j].Path
-		})
-		if len(mhs) != len(shs) {
-			t.Fatalf("%q: hit count: mono=%d sharded=%d", q, len(mhs), len(shs))
-		}
-		for i := range mhs {
-			if mhs[i].Path != shs[i].Path || mhs[i].Score != shs[i].Score || mhs[i].DealID != shs[i].DealID {
-				t.Errorf("%q: hit %d: mono=(%s,%v) sharded=(%s,%v)", q, i, mhs[i].Path, mhs[i].Score, shs[i].Path, shs[i].Score)
-			}
-		}
-		if mc, sc := mono.KeywordCount(q), cluster.KeywordCount(q); mc != sc {
-			t.Errorf("%q: count: mono=%d sharded=%d", q, mc, sc)
-		}
 	}
 }
 
 // TestShardedExploreMatchesMonolith drills into one activity on its owning
 // shard; cluster-global statistics must reproduce the monolith's scores.
 func TestShardedExploreMatchesMonolith(t *testing.T) {
-	_, mono, cluster := clusterFixture(t, 3)
-	res, err := mono.Search(admin(), core.FormQuery{Tower: "Storage Management Services", AllWords: []string{"replication"}})
-	if err != nil || len(res.Activities) == 0 {
-		t.Fatalf("probe search: %v (%d activities)", err, len(res.Activities))
-	}
-	for _, act := range res.Activities {
-		q := core.FormQuery{AllWords: []string{"replication"}}
-		mh, merr := mono.Explore(admin(), act.DealID, q)
-		sh, serr := cluster.Explore(admin(), act.DealID, q)
-		if (merr == nil) != (serr == nil) {
-			t.Fatalf("%s: error mismatch: mono=%v sharded=%v", act.DealID, merr, serr)
-		}
-		if len(mh) != len(sh) {
-			t.Fatalf("%s: explore count: mono=%d sharded=%d", act.DealID, len(mh), len(sh))
-		}
-		for i := range mh {
-			if mh[i].Path != sh[i].Path || mh[i].Score != sh[i].Score {
-				t.Errorf("%s: doc %d: mono=(%s,%v) sharded=(%s,%v)", act.DealID, i, mh[i].Path, mh[i].Score, sh[i].Path, sh[i].Score)
+	for _, n := range identityShardCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			_, mono, cluster := clusterFixture(t, n)
+			res, err := mono.Search(admin(), core.FormQuery{Tower: "Storage Management Services", AllWords: []string{"replication"}})
+			if err != nil || len(res.Activities) == 0 {
+				t.Fatalf("probe search: %v (%d activities)", err, len(res.Activities))
 			}
-		}
+			for _, act := range res.Activities {
+				q := core.FormQuery{AllWords: []string{"replication"}}
+				mh, merr := mono.Explore(admin(), act.DealID, q)
+				sh, serr := cluster.Explore(admin(), act.DealID, q)
+				if (merr == nil) != (serr == nil) {
+					t.Fatalf("%s: error mismatch: mono=%v sharded=%v", act.DealID, merr, serr)
+				}
+				if len(mh) != len(sh) {
+					t.Fatalf("%s: explore count: mono=%d sharded=%d", act.DealID, len(mh), len(sh))
+				}
+				for i := range mh {
+					if mh[i].Path != sh[i].Path || mh[i].Score != sh[i].Score {
+						t.Errorf("%s: doc %d: mono=(%s,%v) sharded=(%s,%v)", act.DealID, i, mh[i].Path, mh[i].Score, sh[i].Path, sh[i].Score)
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestShardedSimilarDealsMatchesMonolith: tower-significance vectors are
 // per-deal, so the scatter-merge must reproduce the monolithic ranking.
 func TestShardedSimilarDealsMatchesMonolith(t *testing.T) {
-	corpus, mono, cluster := clusterFixture(t, 3)
-	checked := 0
-	for dealID := range corpus.Truth {
-		mh, merr := mono.SimilarDeals(admin(), dealID, 5)
-		sh, serr := cluster.SimilarDeals(admin(), dealID, 5)
-		if (merr == nil) != (serr == nil) {
-			t.Fatalf("%s: error mismatch: mono=%v sharded=%v", dealID, merr, serr)
-		}
-		if merr != nil {
-			continue
-		}
-		if len(mh) != len(sh) {
-			t.Fatalf("%s: similar count: mono=%d sharded=%d", dealID, len(mh), len(sh))
-		}
-		for i := range mh {
-			if mh[i].DealID != sh[i].DealID || mh[i].Score != sh[i].Score {
-				t.Errorf("%s: similar %d: mono=(%s,%v) sharded=(%s,%v)", dealID, i, mh[i].DealID, mh[i].Score, sh[i].DealID, sh[i].Score)
+	for _, n := range identityShardCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			corpus, mono, cluster := clusterFixture(t, n)
+			checked := 0
+			for dealID := range corpus.Truth {
+				mh, merr := mono.SimilarDeals(admin(), dealID, 5)
+				sh, serr := cluster.SimilarDeals(admin(), dealID, 5)
+				if (merr == nil) != (serr == nil) {
+					t.Fatalf("%s: error mismatch: mono=%v sharded=%v", dealID, merr, serr)
+				}
+				if merr != nil {
+					continue
+				}
+				if len(mh) != len(sh) {
+					t.Fatalf("%s: similar count: mono=%d sharded=%d", dealID, len(mh), len(sh))
+				}
+				for i := range mh {
+					if mh[i].DealID != sh[i].DealID || mh[i].Score != sh[i].Score {
+						t.Errorf("%s: similar %d: mono=(%s,%v) sharded=(%s,%v)", dealID, i, mh[i].DealID, mh[i].Score, sh[i].DealID, sh[i].Score)
+					}
+				}
+				checked++
 			}
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no deals produced a similarity ranking")
+			if checked == 0 {
+				t.Fatal("no deals produced a similarity ranking")
+			}
+		})
 	}
 }
 
@@ -617,5 +641,41 @@ func TestShardedStreamingIngestMatchesBatch(t *testing.T) {
 		if b, s := batch.KeywordCount(kw), streamed.KeywordCount(kw); b != s {
 			t.Errorf("keyword %q count: batch=%d streamed=%d", kw, b, s)
 		}
+	}
+}
+
+// TestShardedOutageErrorNamesStageOnce: when every shard of a stage is down
+// and no tier is left to serve, the search fails with one BackendError
+// naming the stage (not a shard's breaker key), carrying the injected
+// cause, with "backend unavailable" said once.
+func TestShardedOutageErrorNamesStageOnce(t *testing.T) {
+	for _, n := range identityShardCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			_, _, cluster := clusterFixture(t, n)
+			for _, tc := range []struct {
+				site, backend string
+				q             core.FormQuery
+			}{
+				{fault.SiteSynopsisSearch, core.BackendSynopsis, core.FormQuery{Tower: "End User Services"}},
+				{fault.SiteSIAPISearch, core.BackendSIAPI, core.FormQuery{AllWords: []string{"replication"}}},
+			} {
+				for i := range cluster.Engine.Shards {
+					inj := fault.New(uint64(7 + i))
+					inj.Add(&fault.Rule{Site: tc.site, Mode: fault.ModeError})
+					cluster.Engine.Shards[i].Faults = inj
+				}
+				_, err := cluster.Search(admin(), tc.q)
+				var be *core.BackendError
+				if !errors.As(err, &be) || be.Backend != tc.backend {
+					t.Fatalf("%s down: err = %v, want BackendError{%s}", tc.site, err, tc.backend)
+				}
+				if !errors.Is(err, fault.ErrInjected) {
+					t.Errorf("%s down: injected cause lost from chain: %v", tc.site, err)
+				}
+				if c := strings.Count(err.Error(), "backend unavailable"); c != 1 {
+					t.Errorf("%s down: %q says \"backend unavailable\" %d times, want once", tc.site, err, c)
+				}
+			}
+		})
 	}
 }

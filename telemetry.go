@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/health"
+	"repro/internal/obs"
 	"repro/internal/runtimetel"
 	"repro/internal/slo"
 )
@@ -47,22 +48,7 @@ func (s *System) NewHealth(opts HealthOptions) *health.Registry {
 		return health.OKf("%d docs, epoch %d", s.Index.DocCount(), s.Index.Generation())
 	})
 
-	for _, backend := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-		backend := backend
-		reg.Register("breaker:"+backend, false, func() health.Result {
-			if s.Engine == nil {
-				return health.OKf("no engine")
-			}
-			switch state := s.Engine.BreakerState(backend); state {
-			case "open":
-				return health.Degradedf("circuit open; searches degrade around %s", backend)
-			case "half-open":
-				return health.Degradedf("circuit half-open; probing %s", backend)
-			default:
-				return health.OKf("closed")
-			}
-		})
-	}
+	registerBreakerChecks(reg, s.Engine)
 
 	reg.Register("wal", true, func() health.Result {
 		enabled, err := s.WALProbe()
@@ -117,10 +103,8 @@ func (s *System) NewHealth(opts HealthOptions) *health.Registry {
 }
 
 // NewHealth builds the cluster's readiness registry: one index and WAL
-// check per shard, plus per-backend breaker checks that walk every shard's
-// circuit — the cluster reports degraded as soon as any shard's breaker is
-// not closed, because searches are already serving reduced answers around
-// that shard.
+// check per shard, plus the per-backend breaker checks that walk every
+// shard's circuit.
 func (c *Cluster) NewHealth(opts HealthOptions) *health.Registry {
 	reg := health.NewRegistry(c.Metrics)
 	if opts.MaxGoroutines <= 0 {
@@ -147,31 +131,7 @@ func (c *Cluster) NewHealth(opts HealthOptions) *health.Registry {
 		})
 	}
 
-	for _, backend := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-		backend := backend
-		reg.Register("breaker:"+backend, false, func() health.Result {
-			if c.Engine == nil {
-				return health.OKf("no engine")
-			}
-			open, probing := 0, 0
-			for _, state := range c.Engine.ShardBreakerStates(backend) {
-				switch state {
-				case "open":
-					open++
-				case "half-open":
-					probing++
-				}
-			}
-			switch {
-			case open > 0:
-				return health.Degradedf("%d of %d shard circuits open; searches degrade around them", open, len(c.Shards))
-			case probing > 0:
-				return health.Degradedf("%d of %d shard circuits half-open; probing", probing, len(c.Shards))
-			default:
-				return health.OKf("all %d shard circuits closed", len(c.Shards))
-			}
-		})
-	}
+	registerBreakerChecks(reg, c.Engine)
 
 	reg.Register("snapshots", false, func() health.Result {
 		var oldest time.Time
@@ -227,60 +187,63 @@ func (c *Cluster) NewHealth(opts HealthOptions) *health.Registry {
 	return reg
 }
 
-// AppSampler is the cluster-side runtimetel sampler: same one-screen
-// numbers as System.AppSampler, with breakers_open counting every shard's
-// circuits across both backend hops.
-func (c *Cluster) AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
-	return func(prev, cur *runtimetel.Sample) {
-		if sloEng != nil {
-			sloEng.Tick(cur.Time)
-		}
-		app := map[string]float64{}
-		if c.Metrics != nil {
-			h := c.Metrics.Histogram("http_requests_overall_seconds", nil)
-			count := float64(h.Count())
-			app["http_requests_total"] = count
-			app["http_p99_seconds"] = h.Quantile(0.99)
-			if prev != nil && prev.App != nil {
-				if dt := cur.Time.Sub(prev.Time).Seconds(); dt > 0 {
-					if d := count - prev.App["http_requests_total"]; d >= 0 {
-						app["qps"] = d / dt
-					}
+// registerBreakerChecks adds one non-critical check per backend hop,
+// "breaker:synopsis" and "breaker:siapi", over every shard's circuit for
+// that hop (a System's engine is one unnamed shard). A check degrades as
+// soon as any circuit is not closed, because searches are already serving
+// reduced answers around it.
+func registerBreakerChecks(reg *health.Registry, eng *core.Engine) {
+	for _, backend := range []string{core.BackendSynopsis, core.BackendSIAPI} {
+		reg.Register("breaker:"+backend, false, func() health.Result {
+			if eng == nil {
+				return health.OKf("no engine")
+			}
+			states := eng.ShardBreakerStates(backend)
+			open, probing := 0, 0
+			for _, state := range states {
+				switch state {
+				case "open":
+					open++
+				case "half-open":
+					probing++
 				}
 			}
-		}
-		if sloEng != nil {
-			app["slo_burn"] = sloEng.PeakBurn()
-		}
-		if c.Engine != nil {
-			open := 0.0
-			for _, b := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-				for _, state := range c.Engine.ShardBreakerStates(b) {
-					if state != "closed" {
-						open++
-					}
-				}
+			switch {
+			case open > 0:
+				return health.Degradedf("%d of %d %s circuits open; searches degrade around them", open, len(states), backend)
+			case probing > 0:
+				return health.Degradedf("%d of %d %s circuits half-open; probing", probing, len(states), backend)
+			default:
+				return health.OKf("all %d %s circuits closed", len(states), backend)
 			}
-			app["breakers_open"] = open
-		}
-		cur.App = app
+		})
 	}
 }
 
 // AppSampler returns a runtimetel AppSampler that folds the application's
-// one-screen numbers into every runtime sample: aggregate QPS and p99 from
-// the HTTP middleware's overall histogram, the SLO engine's peak burn rate,
-// and how many circuit breakers are currently not closed. It also drives
-// the SLO engine's tick, so one goroutine (the collector's) paces the whole
-// judgment layer.
+// one-screen numbers into every runtime sample (see appSampler).
 func (s *System) AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
+	return appSampler(s.Metrics, s.Engine, sloEng)
+}
+
+// AppSampler is the cluster-side runtimetel sampler (see appSampler).
+func (c *Cluster) AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
+	return appSampler(c.Metrics, c.Engine, sloEng)
+}
+
+// appSampler folds aggregate QPS and p99 from the HTTP middleware's overall
+// histogram, the SLO engine's peak burn rate, and how many circuit breakers
+// are currently not closed — every shard's, across both backend hops —
+// into each runtime sample. It also drives the SLO engine's tick, so one
+// goroutine (the collector's) paces the whole judgment layer.
+func appSampler(reg *obs.Registry, eng *core.Engine, sloEng *slo.Engine) func(prev, cur *runtimetel.Sample) {
 	return func(prev, cur *runtimetel.Sample) {
 		if sloEng != nil {
 			sloEng.Tick(cur.Time)
 		}
 		app := map[string]float64{}
-		if s.Metrics != nil {
-			h := s.Metrics.Histogram("http_requests_overall_seconds", nil)
+		if reg != nil {
+			h := reg.Histogram("http_requests_overall_seconds", nil)
 			count := float64(h.Count())
 			app["http_requests_total"] = count
 			app["http_p99_seconds"] = h.Quantile(0.99)
@@ -295,11 +258,13 @@ func (s *System) AppSampler(sloEng *slo.Engine) func(prev, cur *runtimetel.Sampl
 		if sloEng != nil {
 			app["slo_burn"] = sloEng.PeakBurn()
 		}
-		if s.Engine != nil {
+		if eng != nil {
 			open := 0.0
 			for _, b := range []string{core.BackendSynopsis, core.BackendSIAPI} {
-				if s.Engine.BreakerState(b) != "closed" {
-					open++
+				for _, state := range eng.ShardBreakerStates(b) {
+					if state != "closed" {
+						open++
+					}
 				}
 			}
 			app["breakers_open"] = open
